@@ -6,9 +6,16 @@
 //! This is the session-isolation contract of the serving layer: a
 //! market's trajectory depends only on its own (state, config, seed),
 //! never on what its neighbors in the session table are doing.
+//!
+//! Each market has its own owner thread, so the same isolation holds
+//! for latency: an `advise` or `unload` on one market answers while
+//! another market is mid-`step`, and one connection's replies still
+//! come back in request order.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use serde::{Deserialize, Value};
 
@@ -38,14 +45,25 @@ fn tenant_spec(seed: u64) -> ScenarioSpec {
     spec
 }
 
-/// The loader of the test server: `{"seed": n}` selects the tenant.
+fn uint(value: &Value) -> Option<u64> {
+    match value {
+        Value::I64(n) => u64::try_from(*n).ok(),
+        Value::U64(n) => Some(*n),
+        _ => None,
+    }
+}
+
+/// The loader of the test server: `{"seed": n}` selects the tenant, and
+/// an optional `"ases"` resizes it.
 fn loader(market: &Value) -> Result<LoadedMarket, String> {
-    let seed = match market.field("seed") {
-        Ok(Value::I64(n)) => *n as u64,
-        Ok(Value::U64(n)) => *n,
-        other => return Err(format!("test loader wants a seed, got {other:?}")),
+    let seed = match market.field("seed").ok().and_then(uint) {
+        Some(seed) => seed,
+        None => return Err(format!("test loader wants a seed, got {market:?}")),
     };
-    let spec = tenant_spec(seed);
+    let mut spec = tenant_spec(seed);
+    if let Some(ases) = market.field("ases").ok().and_then(uint) {
+        spec.ases = usize::try_from(ases).map_err(|e| e.to_string())?;
+    }
     let (net, state) = market_state(&spec);
     Ok(LoadedMarket {
         state,
@@ -69,17 +87,25 @@ impl Client {
         }
     }
 
+    /// Sends one request line in a single write: split writes would let
+    /// Nagle's algorithm hold the newline back for a delayed ACK.
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("request writes");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("request writes");
     }
 
-    fn recv_ok(&mut self) -> Value {
+    fn recv(&mut self) -> Value {
         let mut line = String::new();
         assert!(
             self.reader.read_line(&mut line).expect("reply reads") > 0,
             "server closed the connection"
         );
-        let reply: Value = serde_json::from_str(line.trim()).expect("replies parse");
+        serde_json::from_str(line.trim()).expect("replies parse")
+    }
+
+    fn recv_ok(&mut self) -> Value {
+        let reply = self.recv();
         assert_eq!(
             reply.field("ok").unwrap(),
             &Value::Bool(true),
@@ -101,6 +127,166 @@ impl Client {
         assert_eq!(summary.field("verb").unwrap(), &Value::Str("step".into()));
         record
     }
+
+    /// Whether a reply line for `verb` has reached this client yet,
+    /// read or unread, without consuming anything.
+    fn has_arrived(&mut self, verb: &str) -> bool {
+        let needle = format!(r#""verb":"{verb}""#);
+        if String::from_utf8_lossy(self.reader.buffer()).contains(&needle) {
+            return true;
+        }
+        let stream = self.reader.get_ref();
+        stream.set_nonblocking(true).unwrap();
+        let mut pending = vec![0u8; 1 << 20];
+        let peeked = match stream.peek(&mut pending) {
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => 0,
+            Err(e) => panic!("peek failed: {e}"),
+        };
+        stream.set_nonblocking(false).unwrap();
+        String::from_utf8_lossy(&pending[..peeked]).contains(&needle)
+    }
+
+    /// Reads a step's remaining lines; returns the terminal one.
+    fn finish_step(&mut self) -> Value {
+        loop {
+            let reply = self.recv_ok();
+            if reply.field("verb").unwrap() == &Value::Str("step".into()) {
+                return reply;
+            }
+        }
+    }
+}
+
+fn verb(reply: &Value) -> &str {
+    match reply.field("verb").unwrap() {
+        Value::Str(verb) => verb,
+        other => panic!("verb is not a string: {other:?}"),
+    }
+}
+
+/// Rounds per `step` on the slow tenant, and its size: large enough
+/// that the rounds after the first take well over 50 ms in a debug
+/// build, and over 10 ms in a release build.
+const SLOW_ROUNDS: usize = 4;
+const SLOW_ASES: usize = 1000;
+
+/// A server with a slow-stepping market `m1` and a small market `m2`.
+fn two_tenant_server() -> (
+    SocketAddr,
+    JoinHandle<std::io::Result<pan_serve::ServeSummary>>,
+) {
+    let server = MarketServer::bind("127.0.0.1:0", 2).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve(&loader));
+    let mut admin = Client::connect(addr);
+    admin.send(&format!(
+        r#"{{"v":2,"verb":"load","market":{{"seed":23,"ases":{SLOW_ASES}}}}}"#
+    ));
+    assert_eq!(
+        admin.recv_ok().field("market").unwrap(),
+        &Value::Str("m1".into())
+    );
+    admin.send(r#"{"v":2,"verb":"load","market":{"seed":91}}"#);
+    assert_eq!(
+        admin.recv_ok().field("market").unwrap(),
+        &Value::Str("m2".into())
+    );
+    (addr, handle)
+}
+
+fn quit(addr: SocketAddr, handle: JoinHandle<std::io::Result<pan_serve::ServeSummary>>) {
+    let mut client = Client::connect(addr);
+    client.send(r#"{"v":2,"verb":"quit"}"#);
+    client.recv_ok();
+    handle.join().unwrap().unwrap();
+}
+
+fn slow_step() -> String {
+    format!(r#"{{"v":2,"verb":"step","market":"m1","rounds":{SLOW_ROUNDS}}}"#)
+}
+const WARM_ADVISE: &str = r#"{"v":2,"verb":"advise","market":"m2","asn":1,"top":3}"#;
+
+/// No head-of-line blocking: with `m1` mid-step (its first round line
+/// is out, more rounds to go), a cached advise on `m2` from another
+/// connection answers before `m1`'s terminal `step` line — every time.
+#[test]
+fn an_advise_answers_while_another_market_steps() {
+    let (addr, handle) = two_tenant_server();
+    let mut stepper = Client::connect(addr);
+    let mut adviser = Client::connect(addr);
+    adviser.send(WARM_ADVISE);
+    let cold = adviser.recv_ok();
+    for attempt in 0..3 {
+        stepper.send(&slow_step());
+        let first = stepper.recv_ok();
+        assert_eq!(verb(&first), "round");
+        let asked = Instant::now();
+        adviser.send(WARM_ADVISE);
+        let warm = adviser.recv_ok();
+        let waited = asked.elapsed();
+        assert_eq!(warm.field("cached").unwrap(), &Value::Bool(true));
+        assert_eq!(
+            warm.field("outcomes").unwrap(),
+            cold.field("outcomes").unwrap()
+        );
+        assert!(
+            !stepper.has_arrived("step"),
+            "attempt {attempt}: the advise waited {waited:?}, until m1's step was done"
+        );
+        let done = stepper.finish_step();
+        assert_eq!(
+            uint(done.field("rounds").unwrap()),
+            Some(SLOW_ROUNDS as u64)
+        );
+    }
+    quit(addr, handle);
+}
+
+/// Reply order per connection: a `step` on `m1` and an `advise` on `m2`
+/// pipelined on one connection answer in request order, even though
+/// the advise alone would finish first.
+#[test]
+fn pipelined_requests_answer_in_request_order() {
+    let (addr, handle) = two_tenant_server();
+    let mut client = Client::connect(addr);
+    let step = slow_step();
+    client.send(&format!("{step}\n{WARM_ADVISE}\n{step}"));
+    let mut verbs: Vec<String> = Vec::new();
+    while verbs.iter().filter(|v| v.as_str() == "step").count() < 2 {
+        verbs.push(verb(&client.recv_ok()).to_owned());
+    }
+    let rounds = ["round"; SLOW_ROUNDS];
+    let expected: Vec<&str> = [&rounds[..], &["step", "advise"], &rounds[..], &["step"]].concat();
+    assert_eq!(verbs, expected);
+    quit(addr, handle);
+}
+
+/// `unload` of one market answers while another market steps; the
+/// unloaded id is unknown at once and the step completes normally.
+#[test]
+fn unload_answers_while_another_market_steps() {
+    let (addr, handle) = two_tenant_server();
+    let mut stepper = Client::connect(addr);
+    let mut admin = Client::connect(addr);
+    stepper.send(&slow_step());
+    assert_eq!(verb(&stepper.recv_ok()), "round");
+    admin.send(r#"{"v":2,"verb":"unload","market":"m2"}"#);
+    let unloaded = admin.recv_ok();
+    assert_eq!(unloaded.field("market").unwrap(), &Value::Str("m2".into()));
+    assert!(!stepper.has_arrived("step"), "unload waited for m1's step");
+    admin.send(r#"{"v":2,"verb":"list"}"#);
+    let list = admin.recv_ok();
+    assert_eq!(uint(list.field("count").unwrap()), Some(1));
+    admin.send(WARM_ADVISE);
+    let gone = admin.recv();
+    assert_eq!(gone.field("ok").unwrap(), &Value::Bool(false), "{gone:?}");
+    let done = stepper.finish_step();
+    assert_eq!(
+        uint(done.field("rounds").unwrap()),
+        Some(SLOW_ROUNDS as u64)
+    );
+    quit(addr, handle);
 }
 
 fn zeroed(records: &[RoundRecord]) -> Vec<RoundRecord> {

@@ -8,9 +8,18 @@
 //! many scenarios concurrently and interactive traffic gets
 //! sub-millisecond answers:
 //!
-//! - [`MarketServer`]: a std-only, non-blocking readiness loop (the
-//!   workspace is offline — no tokio/mio) whose owner thread holds
-//!   every market and fans heavy work out over the deterministic
+//! - [`MarketServer`]: a std-only, non-blocking reactor (the workspace
+//!   is offline — no tokio/mio) in front of one **owner thread per
+//!   market**. The reactor only accepts, reads, parses, routes, and
+//!   answers the verbs that read no market state (`list`, process-level
+//!   `stats`, `metrics`, `quit`); market-scoped verbs go to the market's
+//!   `mpsc` mailbox, and the reply goes straight from the thread that
+//!   handles the request to the client. A `step` on one market
+//!   therefore never delays an `advise` on another. Owners hand
+//!   the allocation-heavy jobs (`load` builds, `step`, `snapshot`,
+//!   `restore`) to one shared **work lane** — the thread that called
+//!   [`MarketServer::serve`] — so they reuse one malloc arena; those jobs
+//!   run one at a time and fan out over the deterministic
 //!   [`pan_runtime`] sweep machinery. `load` admits a market (bounded
 //!   by [`MarketServer::with_max_markets`]), `unload` evicts it, and
 //!   each session keeps a per-AS `advise` cache keyed by the market's
@@ -33,6 +42,15 @@
 //! is byte-identical to the same market run in isolation, the property
 //! the CI `serve-smoke` job and the `serve_multitenant` integration
 //! test check against uninterrupted `evolve` trajectories.
+//!
+//! Replies on one connection come back in request order: a connection
+//! with a request in flight has no further lines read until that
+//! request's terminal reply is written. Requests to different markets
+//! overlap only when they arrive on different connections. Each verb
+//! records `serve.verb.<verb>.queue_ns` (from parse to the handling
+//! thread starting it) next to its service time `serve.verb.<verb>_ns`.
+//! A panic while handling a market's request answers
+//! [`ErrorCode::EvaluationFailed`] and poisons only that market.
 //!
 //! ```no_run
 //! use pan_serve::{LoadedMarket, MarketServer};
@@ -598,6 +616,68 @@ mod tests {
         assert_eq!(int(&markets[0], "cache_misses"), 1);
         assert_eq!(field(&markets[0], "hit_rate"), &Value::F64(0.5));
 
+        send(r#"{"v":2,"verb":"quit"}"#);
+        assert_ok(&recv());
+        handle.join().unwrap().unwrap();
+    }
+
+    /// A panic while building a market — injected through the loader —
+    /// answers `evaluation_failed`, releases the reserved slot and id,
+    /// and leaves the resident markets and the reactor serving.
+    #[test]
+    fn a_panicking_build_leaves_the_other_markets_serving() {
+        let server = MarketServer::bind("127.0.0.1:0", 1)
+            .unwrap()
+            .with_max_markets(2);
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            server.serve(&|spec| {
+                assert!(spec.field("explode").is_err(), "loader exploded");
+                Ok(arbitrage_market())
+            })
+        });
+
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut send = |line: &str| writeln!(writer, "{line}").unwrap();
+        let mut recv = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            serde_json::from_str::<Value>(line.trim()).unwrap()
+        };
+
+        send(r#"{"v":2,"verb":"load","market":{}}"#);
+        assert_ok(&recv());
+        send(r#"{"v":2,"verb":"advise","market":"m1","asn":3}"#);
+        let cold = recv();
+        assert_eq!(field(&cold, "cached"), &Value::Bool(false));
+
+        send(r#"{"v":2,"id":"boom","verb":"load","market":{"explode":true}}"#);
+        let reply = recv();
+        assert_eq!(error_code(&reply), "evaluation_failed");
+        assert_eq!(field(&reply, "id"), &Value::Str("boom".into()));
+        assert!(
+            error_message(&reply).contains("loader exploded"),
+            "{reply:?}"
+        );
+
+        // The failed build held no slot: a cap of 2 still admits a
+        // second market, and it takes the id the failed build gave back.
+        send(r#"{"v":2,"verb":"list"}"#);
+        assert_eq!(int(&recv(), "count"), 1);
+        send(r#"{"v":2,"verb":"load","market":{}}"#);
+        let m2 = recv();
+        assert_ok(&m2);
+        assert_eq!(field(&m2, "market"), &Value::Str("m2".into()));
+        send(r#"{"v":2,"verb":"advise","market":"m1","asn":3}"#);
+        let warm = recv();
+        assert_eq!(field(&warm, "cached"), &Value::Bool(true));
+        assert_eq!(field(&warm, "outcomes"), field(&cold, "outcomes"));
+
+        send(r#"{"v":2,"verb":"stats"}"#);
+        let stats = recv();
+        assert_eq!(int(field(&stats, "errors"), "evaluation_failed"), 1);
         send(r#"{"v":2,"verb":"quit"}"#);
         assert_ok(&recv());
         handle.join().unwrap().unwrap();
